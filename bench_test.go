@@ -242,7 +242,7 @@ func benchProgram(b *testing.B, alg nand.Algorithm) {
 }
 
 func BenchmarkSubsystemWriteRead(b *testing.B) {
-	sys, err := Open(Options{Blocks: 4, Seed: 9})
+	sys, err := Open(WithBlocks(4), WithSeed(9))
 	if err != nil {
 		b.Fatal(err)
 	}

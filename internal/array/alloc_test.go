@@ -3,7 +3,7 @@ package array
 import "testing"
 
 // TestArrayRoundZeroAlloc pins the whole per-round hot path — QoS pick,
-// flat executor, dispatch lean reads, controller decode, result
+// round executor, dispatch lean reads, controller decode, result
 // surfacing — at zero steady-state allocations. Ops carry caller-owned
 // destination buffers (one per in-flight op; sharing would race) and
 // every piece of round scratch is array-owned and reused.

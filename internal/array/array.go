@@ -133,7 +133,7 @@ type Result struct {
 // a phase's dispatch and its barrier.
 type Array struct {
 	cfg   Config
-	mode  string
+	code  stripeCode
 	cache *hostCache
 	sched *scheduler
 
@@ -151,8 +151,8 @@ type Array struct {
 	volumePages  int
 
 	// written marks volume pages that have ever landed on a drive;
-	// parityOK (parity mode) marks drive-local parity pages whose stored
-	// parity matches the row's data.
+	// parityOK (codes whose writes read-modify-write the parity) marks
+	// drive-local parity pages whose stored parity matches the row's data.
 	written  []bool
 	parityOK []bool
 
@@ -194,22 +194,24 @@ type fill struct{ slot, page int }
 // roundScratch holds the per-round staging slices reused across rounds,
 // so a steady-state round performs no allocations of its own: host
 // results, drive-bound actions, cache fills, the per-slot phase batches,
-// and the flat executor's read/write bookkeeping.
+// and the executor's host ops and read/write/reconstruction bookkeeping.
 type roundScratch struct {
 	results []Result
 	acts    []action
 	fills   []fill
 	batches [][]driveOp
+	host    []driveOp
 	reads   []pendingRead
-	writes  []flatWrite
+	writes  []hostWrite
+	recs    []recRead
 }
 
 // phaseBatches returns the reusable per-slot batch staging, emptied.
-// Only the single-phase flat executor uses it; the multi-phase parity
-// executor allocates per phase (overlapping lifetimes).
-func (a *Array) phaseBatches(n int) [][]driveOp {
-	if len(a.scr.batches) != n {
-		a.scr.batches = make([][]driveOp, n)
+// Phases run one at a time and a batch is dead once its barrier
+// returns, so every phase of a round reuses the same slices.
+func (a *Array) phaseBatches() [][]driveOp {
+	if len(a.scr.batches) != len(a.slots) {
+		a.scr.batches = make([][]driveOp, len(a.slots))
 	}
 	b := a.scr.batches
 	for i := range b {
@@ -242,7 +244,7 @@ func New(cfg Config) (*Array, error) {
 	if cfg.HitLatency == 0 {
 		cfg.HitLatency = time.Microsecond
 	}
-	mode, err := normalizeRedundancy(cfg.Redundancy, cfg.Drives)
+	mode, code, err := normalizeRedundancy(cfg.Redundancy, cfg.Drives, cfg.StripePages)
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +274,8 @@ func New(cfg Config) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Array{cfg: cfg, mode: mode, cache: cache, sched: sched}
-	if mode != RedundancyNone {
+	a := &Array{cfg: cfg, code: code, cache: cache, sched: sched}
+	if a.code.m > 0 {
 		if _, dup := sched.byName[rebuildTenant]; dup {
 			return nil, fmt.Errorf("array: tenant name %q is reserved when redundancy is enabled", rebuildTenant)
 		}
@@ -328,9 +330,9 @@ func New(cfg Config) (*Array, error) {
 			cfg.StripePages, perDrive)
 	}
 	a.perDriveLPAs = a.stripes * cfg.StripePages
-	a.volumePages = a.perDriveLPAs * a.dataSlots()
+	a.volumePages = a.perDriveLPAs * a.code.ds
 	a.written = make([]bool, a.volumePages)
-	if mode == RedundancyParity {
+	if a.code.rmw() {
 		a.parityOK = make([]bool, a.perDriveLPAs)
 	}
 	return a, nil
@@ -432,7 +434,7 @@ func (a *Array) wbActions(wbs []writeback) []action {
 
 // round runs one scheduling round: fire scheduled faults, refill
 // buckets, pick fairly, serve from cache, then hand the drive-bound
-// actions (plus any rebuild traffic) to the redundancy-mode executor
+// actions (plus any rebuild traffic) to the round executor
 // and judge each faulted drive's UBER climate at the barrier.
 func (a *Array) round() ([]Result, error) {
 	a.rounds++
@@ -500,12 +502,7 @@ func (a *Array) round() ([]Result, error) {
 			t.stats.BytesRead += int64(len(data))
 			a.trace.Instant1(hostTidCache, "cache_hit", a.clock, "page", int64(op.Page))
 			r.CacheHit = true
-			if op.Buf != nil {
-				r.Data = op.Buf[:len(data)]
-				copy(r.Data, data)
-			} else {
-				r.Data = append([]byte(nil), data...)
-			}
+			r.Data = copyInto(op.Buf, data)
 			r.Latency = a.cfg.HitLatency
 			hostTime += a.cfg.HitLatency
 			continue

@@ -163,7 +163,7 @@ func TestArrayStriping(t *testing.T) {
 	for _, tc := range []struct{ page, drive int }{
 		{0, 0}, {3, 0}, {4, 1}, {7, 1}, {8, 0}, {12, 1},
 	} {
-		if drv, _ := w.locate(tc.page); drv != tc.drive {
+		if drv, _ := w.code.locate(tc.page); drv != tc.drive {
 			t.Fatalf("stripe 4: page %d on drive %d, want %d", tc.page, drv, tc.drive)
 		}
 	}

@@ -177,7 +177,7 @@ func (a *Array) kill(s *slot) {
 		s.d.close()
 		s.d = nil
 	}
-	if a.mode != RedundancyNone {
+	if a.code.m > 0 {
 		a.attachSpare(s)
 	}
 }

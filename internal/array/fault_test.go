@@ -12,16 +12,19 @@ import (
 // every (slot, lpa) cell is used at most once.
 func TestParityGeometry(t *testing.T) {
 	for _, sp := range []int{1, 4} {
-		a := &Array{cfg: Config{Drives: 5, StripePages: sp}, mode: RedundancyParity}
+		_, code, err := normalizeRedundancy(RedundancyParity, 5, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &Array{code: code}
 		seen := map[[2]int]int{}
 		pages := 5 * 4 * sp * 4 // a few full parity rotations
 		for p := 0; p < pages; p++ {
-			drv, lpa := a.locate(p)
-			row, _ := a.rowOff(lpa)
-			if drv == a.parityLoc(row) {
+			drv, lpa := a.code.locate(p)
+			if drv == a.code.parityLoc(drv, lpa) {
 				t.Fatalf("stripe %d: page %d landed on parity slot %d", sp, p, drv)
 			}
-			if back := a.pageOf(drv, lpa); back != p {
+			if back := a.code.pageOf(drv, lpa); back != p {
 				t.Fatalf("stripe %d: pageOf(locate(%d)) = %d", sp, p, back)
 			}
 			key := [2]int{drv, lpa}
@@ -32,9 +35,9 @@ func TestParityGeometry(t *testing.T) {
 		}
 		// Every parity cell resolves to no data page.
 		for row := 0; row < 8; row++ {
-			pd := a.parityLoc(row)
+			pd := a.code.parityLoc(0, row*sp)
 			for off := 0; off < sp; off++ {
-				if got := a.pageOf(pd, row*sp+off); got != -1 {
+				if got := a.code.pageOf(pd, row*sp+off); got != -1 {
 					t.Fatalf("parity cell slot %d row %d resolved to page %d", pd, row, got)
 				}
 			}
@@ -338,7 +341,7 @@ func TestNoneModeHonestLoss(t *testing.T) {
 	}
 	deadErrs := 0
 	for _, r := range mustDrain(t, a) {
-		drv, _ := a.locate(r.Page)
+		drv, _ := a.code.locate(r.Page)
 		if r.Err != nil {
 			if !errors.Is(r.Err, ErrDriveDead) {
 				t.Fatalf("read page %d: unexpected error %v", r.Page, r.Err)
@@ -632,7 +635,7 @@ func BenchmarkDegradedRead(b *testing.B) {
 			// slot 3 — so the delta is purely the reconstruction cost.
 			var targets []int
 			for p := 0; p < warm; p++ {
-				if drv, _ := a.locate(p); drv == 3 {
+				if drv, _ := a.code.locate(p); drv == 3 {
 					targets = append(targets, p)
 				}
 			}
@@ -718,8 +721,9 @@ func BenchmarkRebuild(b *testing.B) {
 // the very volume pages whose drive-local lpas the cursor copies that
 // round (where overlap(lpa) allows), then a full read pass verifies no
 // page serves its stale pre-overwrite image. This is the ordering bug
-// class fixed in execFlat: the rebuild source image is read in phase 1
-// but written onto the spare in phase 3, after the host write landed.
+// class of a mirror write: the rebuild source image is read in phase 1
+// but written onto the spare in phase 3, after the host write landed,
+// so the copy must be dropped.
 func runRebuildClobber(t *testing.T, cfg Config, deadSlot int, overlap func(lpa int) bool) {
 	t.Helper()
 	a, err := New(cfg)
@@ -755,7 +759,7 @@ func runRebuildClobber(t *testing.T, cfg Config, deadSlot int, overlap func(lpa 
 		submitted := 0
 		for k := 0; k < budget && cur+k < a.perDriveLPAs; k++ {
 			lpa := cur + k
-			pg := a.pageOf(deadSlot, lpa)
+			pg := a.code.pageOf(deadSlot, lpa)
 			if pg >= 0 && overlap(lpa) {
 				w(pg, 1)
 				submitted++
@@ -825,8 +829,8 @@ func TestReproRebuildClobber(t *testing.T) {
 }
 
 // TestReproRebuildClobberParity pins the same ordering guarantee for
-// the parity executor, where rebuild copies are staged ahead of host
-// writes inside the phase-3 batch so the host write wins batch order.
+// parity, where the host write shares phase 3 with the rebuild copy and
+// is staged after it, so the host write wins batch order.
 func TestReproRebuildClobberParity(t *testing.T) {
 	cfg := clobberConfig(t, 4, RedundancyParity)
 	runRebuildClobber(t, cfg, 0, func(int) bool { return true })

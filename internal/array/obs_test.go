@@ -35,7 +35,7 @@ func tracedDegradedRun(t *testing.T) ([]byte, *FleetReport) {
 	}
 	a.kill(a.slots[2]) // no spare: reads of slot 2 must reconstruct
 	for p := 0; p < warm; p++ {
-		if drv, _ := a.locate(p); drv == 2 {
+		if drv, _ := a.code.locate(p); drv == 2 {
 			if err := a.Submit(Op{Tenant: "default", Page: p}); err != nil {
 				t.Fatal(err)
 			}

@@ -1,14 +1,11 @@
 // Background rebuild: when a dead slot gets a hot spare, a cursor
 // sweeps the drive-local address space, reconstructing each page that
-// holds live content (mirror: copy from the partner; parity: XOR of
-// the row's peers, or a parity recompute when the slot owns the row's
-// parity chunk) and writing it onto the spare. Rebuild traffic is just
-// another QoS tenant — it competes for round budget through the same
-// token bucket machinery as host tenants, so a throttled rebuild
-// visibly stretches the repair window in the report.
+// holds live content (the XOR of the row's other members, which under
+// mirror is the partner's copy) and writing it onto the spare. Rebuild
+// traffic is just another QoS tenant — it competes for round budget
+// through the same token bucket machinery as host tenants, so a
+// throttled rebuild visibly stretches the repair window in the report.
 package array
-
-import "time"
 
 // rebuildTenant is the reserved QoS tenant name carrying rebuild I/O.
 const rebuildTenant = "rebuild"
@@ -21,14 +18,11 @@ type rbItem struct {
 	s   *slot
 	lpa int
 
-	srcSlot       int  // flat modes: the partner slot supplying the copy
-	parityRebuild bool // parity mode: this lpa holds the row's parity chunk
+	parity bool // this lpa holds the row's parity chunk
+	skip   bool // sources unavailable this round: retry later
+	lost   bool // unrecoverable: counted, cursor moves on
 
-	skip bool // sources unavailable this round: retry later
-	lost bool // unrecoverable: counted, cursor moves on
-
-	comps []*internalRead // parity mode: XOR components
-	read  *internalRead   // flat modes: partner read
+	comps []*internalRead // the sources, XORed into the copy
 	write *internalRead   // the spare write's result
 }
 
@@ -93,22 +87,13 @@ func (a *Array) attachSpare(s *slot) {
 }
 
 // rebuildNeeded reports whether the slot's spare is missing live
-// content at lpa (pages that never held data, or mirror secondaries,
-// rebuild for free).
+// content at lpa (pages that never held data rebuild for free).
 func (a *Array) rebuildNeeded(s *slot, lpa int) bool {
-	switch a.mode {
-	case RedundancyParity:
-		row, _ := a.rowOff(lpa)
-		if a.parityLoc(row) == s.id {
-			return a.anyRowWritten(lpa)
-		}
-		pj := a.pageOf(s.id, lpa)
-		return pj >= 0 && a.written[pj]
-	case RedundancyMirror:
-		pj := a.pageOf(s.id, lpa)
-		return pj >= 0 && a.written[pj]
+	if a.code.parityLoc(s.id, lpa) == s.id {
+		return a.anyRowWritten(s.id, lpa)
 	}
-	return false
+	pj := a.code.pageOf(s.id, lpa)
+	return pj >= 0 && a.written[pj]
 }
 
 // planRebuild sweeps each rebuilding slot's cursor and plans this
@@ -116,7 +101,7 @@ func (a *Array) rebuildNeeded(s *slot, lpa int) bool {
 // tenant's token bucket. Pages with nothing to restore are marked
 // rebuilt for free and do not consume budget.
 func (a *Array) planRebuild() []rbItem {
-	if a.mode == RedundancyNone {
+	if a.code.m == 0 {
 		return nil
 	}
 	var items []rbItem
@@ -143,45 +128,11 @@ func (a *Array) planRebuild() []rbItem {
 				a.rebuildTen.stats.Throttled++
 				break
 			}
-			it := rbItem{s: s, lpa: lpa}
-			if a.mode == RedundancyMirror {
-				it.srcSlot = s.id ^ 1
-			}
-			items = append(items, it)
+			items = append(items, rbItem{s: s, lpa: lpa})
 			budget--
 		}
 	}
 	return items
-}
-
-// stageRebuildWrites runs the flat-mode spare-write phase: value
-// extracts each item's reconstructed content (nil defers the item to a
-// later round).
-func (a *Array) stageRebuildWrites(items []rbItem, value func(*rbItem) []byte) time.Duration {
-	if len(items) == 0 {
-		return 0
-	}
-	batches := make([][]driveOp, len(a.slots))
-	staged := false
-	for i := range items {
-		it := &items[i]
-		if it.skip || it.lost {
-			continue
-		}
-		v := value(it)
-		if v == nil {
-			it.skip = true
-			continue
-		}
-		it.write = &internalRead{}
-		batches[it.s.id] = append(batches[it.s.id],
-			driveOp{write: true, lpa: it.lpa, slot: it.s.id, data: v, out: it.write})
-		staged = true
-	}
-	if !staged {
-		return 0
-	}
-	return a.runPhase(batches)
 }
 
 // finishRebuild folds a round's rebuild outcomes into the slots: marks
@@ -205,7 +156,7 @@ func (a *Array) finishRebuild(items []rbItem) {
 		s.rb.Pages++
 		s.rb.Bytes += int64(a.pageBytes)
 		a.latRebuild.Record(it.write.lat)
-		if a.mode == RedundancyParity && it.parityRebuild {
+		if it.parity && a.code.rmw() {
 			a.parityOK[it.lpa] = true
 		}
 		a.rebuildTen.stats.Writes++

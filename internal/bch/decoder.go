@@ -3,7 +3,6 @@ package bch
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"xlnand/internal/gf"
 )
@@ -18,13 +17,14 @@ var ErrUncorrectable = errors.New("bch: uncorrectable error pattern")
 // bound to one code (one t); the adaptive Codec multiplexes between them.
 //
 // Decoder is safe for concurrent use: all mutable per-decode state lives
-// in pooled scratch contexts, so concurrent dies sharing one codec never
-// contend on a lock or allocate in steady state.
+// in free-listed scratch contexts, so concurrent dies sharing one codec
+// hold a lock only to pop or push one and never allocate in steady
+// state.
 type Decoder struct {
 	code *Code
 	syn  *SyndromeCalc
-	div  *divider  // remainder-first syndrome engine; nil for toy geometries
-	pool sync.Pool // of *decodeScratch
+	div  *divider // remainder-first syndrome engine; nil for toy geometries
+	pool freeList[decodeScratch]
 }
 
 // decodeScratch is the reusable working set of one in-flight Decode: the
@@ -52,7 +52,7 @@ func NewDecoder(c *Code, syn *SyndromeCalc) *Decoder {
 	syn.Prepare(c.T)
 	d := &Decoder{code: c, syn: syn, div: newDivider(c)}
 	t := c.T
-	d.pool.New = func() any {
+	d.pool.new = func() *decodeScratch {
 		sc := &decodeScratch{
 			syn:   make([]uint32, 2*t),
 			delta: make([]uint32, t),
@@ -90,8 +90,8 @@ func (d *Decoder) Decode(codeword []byte) (int, error) {
 	if len(codeword) != nbits/8 {
 		return 0, fmt.Errorf("bch: codeword is %d bytes, want %d", len(codeword), nbits/8)
 	}
-	sc := d.pool.Get().(*decodeScratch)
-	defer d.pool.Put(sc)
+	sc := d.pool.get()
+	defer d.pool.put(sc)
 	f := d.code.Field
 	t := d.code.T
 

@@ -314,6 +314,12 @@ func New(cfg Config) (*Dispatcher, error) {
 		return nil, err
 	}
 	d := &Dispatcher{env: cfg.Env, codec: codec, defaultMode: sim.ModeNominal}
+	// Both calendars start at their compaction bound (2·maxCalendarSpans
+	// spans, 128 KiB each), so booking never grows them: steady-state
+	// allocation cannot depend on how far a run has got or on the order
+	// workers happened to book in. Compaction points are unchanged.
+	d.bus.busy = make([]span, 0, 2*maxCalendarSpans)
+	d.codecClk.busy = make([]span, 0, 2*maxCalendarSpans)
 	if cfg.Trace != nil {
 		cfg.Trace.Thread(traceTidBus, "bus")
 		cfg.Trace.Thread(traceTidCodec, "codec")

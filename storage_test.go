@@ -7,7 +7,7 @@ import (
 
 func openStorage(t *testing.T) (*Subsystem, *Storage) {
 	t.Helper()
-	sys, err := Open(Options{Blocks: 8, Seed: 77})
+	sys, err := Open(WithBlocks(8), WithSeed(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestStorageRoundTripAllPartitions(t *testing.T) {
 }
 
 func TestStorageRejectsOversubscription(t *testing.T) {
-	sys, err := Open(Options{Blocks: 3, Seed: 1})
+	sys, err := Open(WithBlocks(3), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestAdvanceTimeIncreasesCorrections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("retention test skipped in -short mode")
 	}
-	sys, err := Open(Options{Blocks: 2, Seed: 31})
+	sys, err := Open(WithBlocks(2), WithSeed(31))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,9 +87,6 @@
 // write path (previously both silently re-enabled the reliability
 // manager).
 //
-// Open's old Options struct is deprecated but still accepted: it
-// implements Option, so Open(Options{Blocks: 4}) keeps compiling.
-//
 // Evaluate operating points analytically with Evaluate/EvaluateMode; the
 // experiment harness regenerating every figure of the paper is exposed
 // through RunExperiment and the cmd/flashsim binary.
@@ -260,40 +257,6 @@ func WithCodecHW(p, h int, clockHz float64) Option {
 	return optionFunc(func(c *config) {
 		c.hw = &codecHW{parallelismP: p, chienH: h, clockHz: clockHz}
 	})
-}
-
-// Options configures Open.
-//
-// Deprecated: use the functional options (WithBlocks, WithSeed,
-// WithTargetUBER, WithManualECC, ...). Options implements Option, so
-// existing Open(Options{...}) calls keep working.
-type Options struct {
-	// Blocks is the number of simulated flash blocks (default 8).
-	Blocks int
-	// Seed drives all simulation randomness (default 1).
-	Seed uint64
-	// TargetUBERExp sets the reliability target as 10^-exp (default 11,
-	// the paper's 1e-11).
-	TargetUBERExp uint32
-	// ManualECC disables the reliability manager; use SetCapability to
-	// pick t explicitly. The default (false) leaves the manager in
-	// charge.
-	ManualECC bool
-}
-
-func (o Options) apply(c *config) {
-	if o.Blocks != 0 {
-		c.blocks = o.Blocks
-	}
-	if o.Seed != 0 {
-		c.seed = o.Seed
-	}
-	if o.TargetUBERExp != 0 {
-		c.targetUBERExp = o.TargetUBERExp
-	}
-	if o.ManualECC {
-		c.manualECC = true
-	}
 }
 
 // Subsystem is an open simulated NAND memory sub-system: one or more

@@ -12,7 +12,7 @@ import (
 
 func openTest(t *testing.T) *Subsystem {
 	t.Helper()
-	s, err := Open(Options{Blocks: 4, Seed: 7})
+	s, err := Open(WithBlocks(4), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func pageOf(seed uint64, size int) []byte {
 }
 
 func TestOpenDefaults(t *testing.T) {
-	s, err := Open(Options{})
+	s, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestOpenDefaults(t *testing.T) {
 }
 
 func TestOpenRejectsNegativeBlocks(t *testing.T) {
-	if _, err := Open(Options{Blocks: -1}); err == nil {
+	if _, err := Open(WithBlocks(-1)); err == nil {
 		t.Fatal("negative blocks accepted")
 	}
 }
@@ -141,7 +141,7 @@ func TestUncorrectableSurfaced(t *testing.T) {
 	// under-provisioned page (the wear-drift share of its errors is
 	// exactly what shifted references remove), so the single-shot path
 	// is requested explicitly to exercise the failure surface.
-	s, err := Open(Options{Blocks: 4, Seed: 7}, WithReadRetry(0))
+	s, err := Open(WithBlocks(4), WithSeed(7), WithReadRetry(0))
 	if err != nil {
 		t.Fatal(err)
 	}
